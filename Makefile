@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race verify fuzz-smoke trace-smoke campaign-smoke bmc-smoke stateful-smoke bench bench-iss bench-fork examples clean
+.PHONY: all build vet test race perfbench-build verify fuzz-smoke trace-smoke campaign-smoke bmc-smoke stateful-smoke bench bench-iss bench-fork examples clean
 
 all: verify
 
@@ -22,6 +22,14 @@ test:
 race:
 	$(GO) test -race ./internal/cte/... ./internal/fuzz/... ./internal/qcache/... ./internal/concolic/... ./internal/smt/... ./internal/iss/... ./internal/campaign/... ./internal/bmc/...
 	$(GO) test -race -short ./internal/guest/...
+
+# perfbench is its own Go module (it points at this one through a
+# replace directive), so the root build and vet never compile it: vet
+# and build it here so an API change in cte/iss/campaign that breaks
+# the benchmark fails verify instead of the next benchmark run. The
+# binary is discarded, so nothing lands in the checkout.
+perfbench-build:
+	cd perfbench && $(GO) vet . && $(GO) build -o /dev/null .
 
 # A bounded hybrid-fuzzing run against the tcpip stack: must report at
 # least one finding (exit code 1) well inside the time budget.
@@ -83,9 +91,9 @@ stateful-smoke: build
 
 # The repo's verification recipe (see README.md and
 # .claude/skills/verify/SKILL.md): build, vet, full tests, race pass,
-# then the end-to-end fuzzing, tracing, campaign, BMC and stateful
-# smokes.
-verify: build vet test race fuzz-smoke trace-smoke campaign-smoke bmc-smoke stateful-smoke
+# the perfbench module's vet and build, then the end-to-end fuzzing,
+# tracing, campaign, BMC and stateful smokes.
+verify: build vet test race perfbench-build fuzz-smoke trace-smoke campaign-smoke bmc-smoke stateful-smoke
 
 bench:
 	$(GO) test -bench=. -benchmem .

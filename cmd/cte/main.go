@@ -67,7 +67,7 @@ func main() {
 	traceFile := flag.String("trace", "", "write a structured JSONL event trace (path/query/cache/fuzz events) to this file")
 	progressEvery := flag.Duration("progress", 0, "print a live progress line to stderr at this interval (0 = off)")
 	listenAddr := flag.String("listen", "", "serve live /metrics JSON and /debug/pprof on this address while the run lasts")
-	workers := flag.Int("j", runtime.NumCPU(), "parallel exploration workers (1 = sequential, deterministic path order)")
+	workers := flag.Int("j", runtime.NumCPU(), "exploration workers (1 = one-worker pool, deterministic path order)")
 	maxConflicts := flag.Int("max-conflicts", 0, "per-query solver conflict budget; exhausted queries count as unknown (0 = unlimited)")
 	useCache := flag.Bool("cache", true, "enable the SMT query cache (model reuse, unsat subsumption, independence slicing)")
 	cacheDir := flag.String("cache-dir", "", "persist the query cache under this directory so repeated runs warm-start")

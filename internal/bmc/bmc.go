@@ -461,13 +461,7 @@ func (x *Executor) solveSites(ctx context.Context) {
 		}
 		reach := x.b.OrAll(guards)
 		t0 := time.Now()
-		var sat, unknown bool
-		var model smt.Assignment
-		if x.cfg.Cache != nil {
-			sat, model, unknown = x.cfg.Cache.Check(solver, []*smt.Expr{reach}, nil)
-		} else {
-			sat, model, unknown = solver.Check(reach)
-		}
+		sat, model, unknown := x.cfg.Cache.Check(solver, []*smt.Expr{reach}, nil)
 		x.obsSolveUS.ObserveDuration(time.Since(t0))
 		x.rep.Queries++
 		x.obsQueries.Inc()

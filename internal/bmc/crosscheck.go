@@ -168,12 +168,7 @@ func (r *Report) DiffCheck(b *smt.Builder, cache *qcache.Cache, maxConflicts int
 	dr := &DiffReport{Samples: len(samples)}
 	var faults []string
 	for i, ps := range samples {
-		var sat, unknown bool
-		if cache != nil {
-			sat, _, unknown = cache.Check(solver, ps.Conds, ps.Input)
-		} else {
-			sat, _, unknown = solver.Check(ps.Conds...)
-		}
+		sat, _, unknown := cache.Check(solver, ps.Conds, ps.Input)
 		switch {
 		case unknown:
 			faults = append(faults, fmt.Sprintf("sample %d: path condition unknown under conflict budget", i))

@@ -82,3 +82,24 @@ func TestHybridCampaignTCPIP(t *testing.T) {
 		t.Fatalf("finding missing classification: %+v", f)
 	}
 }
+
+// TestLeaseSeedPerLease: hybrid leases fuzz with seeds derived from the
+// campaign seed and the lease ID — stable for a given lease, different
+// across leases and campaign seeds — so successive leases over the
+// synced corpus do not replay one mutation stream.
+func TestLeaseSeedPerLease(t *testing.T) {
+	if leaseSeed(1, "c1-l1") != leaseSeed(1, "c1-l1") {
+		t.Fatal("lease seed is not reproducible")
+	}
+	seen := map[int64]string{}
+	for _, id := range []string{"c1-l1", "c1-l2", "c1-l3", "c2-l1"} {
+		s := leaseSeed(1, id)
+		if prev, ok := seen[s]; ok {
+			t.Fatalf("leases %s and %s share seed %d", prev, id, s)
+		}
+		seen[s] = id
+	}
+	if leaseSeed(1, "c1-l1") == leaseSeed(2, "c1-l1") {
+		t.Fatal("lease seed ignores the campaign seed")
+	}
+}

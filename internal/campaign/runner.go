@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
 	"time"
 
 	"rvcte/internal/cte"
@@ -115,7 +116,7 @@ func (r *Runner) runConcolic(ctx context.Context, l Lease) Result {
 		roots[i] = cte.ImportInput(r.b, wi)
 	}
 	cfg := cte.Config{
-		Workers: 1, // sequential: path i is leased input i
+		Workers: 1, // one-worker pool: path i is leased input i
 		Budget: cte.Budget{
 			MaxPaths:             len(roots),
 			MaxInstrPerRun:       r.spec.MaxInstr,
@@ -164,6 +165,19 @@ func (r *Runner) runConcolic(ctx context.Context, l Lease) Result {
 	return res
 }
 
+// leaseSeed derives a hybrid lease's PRNG seed from the campaign seed
+// and the lease ID. Every lease starts a fresh fuzzer over the synced
+// corpus; with the bare campaign seed each one would replay the same
+// mutation and escalation stream, so after a few leases it only
+// re-solves cached queries and finds nothing new, and two workers
+// would duplicate each other's work. Lease IDs are unique per campaign,
+// so the streams differ, and a given lease schedule stays reproducible.
+func leaseSeed(seed int64, leaseID string) int64 {
+	h := fnv.New64a()
+	h.Write([]byte(leaseID))
+	return seed + int64(h.Sum64()>>1)
+}
+
 func (r *Runner) runHybrid(ctx context.Context, l Lease) Result {
 	start := time.Now()
 	cfg := cte.Config{
@@ -174,7 +188,7 @@ func (r *Runner) runHybrid(ctx context.Context, l Lease) Result {
 			MaxConflictsPerQuery: r.spec.MaxConflicts,
 		},
 		Cache:       cte.CacheConfig{Queries: r.qc},
-		Seed:        r.spec.Seed,
+		Seed:        leaseSeed(r.spec.Seed, l.ID),
 		StopOnError: r.spec.StopOnError,
 		Detectors:   r.spec.Detectors,
 		Fuzz: cte.FuzzConfig{

@@ -5,22 +5,22 @@
 // strategy. Generational bounds (à la SAGE) prevent re-exploration of
 // already-covered path prefixes.
 //
-// Exploration can run on a pool of parallel workers (Config.Workers):
-// every path is independent by construction — the snapshot is frozen
-// once, each worker clones it and runs on its own core with its own
-// solver — so only the input queue, the dedup set, the coverage map and
-// the report are shared, guarded by one mutex. With more than one worker
-// the path *order* (and therefore OnPath invocation order and Finding
-// indices) depends on scheduling, but the explored path set, the dedup
-// decisions and the set of findings do not; Workers == 1 preserves the
-// fully deterministic sequential engine. See DESIGN.md ("Parallel
+// That cycle is written once, as a pool of workers (Config.Workers;
+// parallel.go): every path is independent by construction — the
+// snapshot is frozen once, each worker clones it and runs on its own
+// core with its own solver — so only the input queue, the dedup set,
+// the coverage map and the report are shared, guarded by one mutex.
+// Workers <= 1 is a pool of one worker, which claims and merges strictly
+// in turn: path order, path IDs, OnPath order and Finding indices are
+// then fully deterministic for a fixed seed. With more workers the path
+// *order* depends on scheduling, but the explored path set, the dedup
+// decisions and the set of findings do not. See DESIGN.md ("Parallel
 // exploration") for the clone-safety contract.
 package cte
 
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sort"
 	"time"
@@ -100,7 +100,7 @@ const AutoWorkers = -1
 
 func autoWorkers() int { return runtime.NumCPU() }
 
-// WorkerStats is the per-worker breakdown of a parallel run.
+// WorkerStats is the per-worker breakdown of a concolic run.
 type WorkerStats struct {
 	Paths      int
 	Queries    int
@@ -125,7 +125,8 @@ type Report struct {
 	// Forked counts paths that resumed a divergence checkpoint instead
 	// of restarting from the snapshot; ForkRestarts counts children that
 	// wanted a fork but fell back to a restart (capture skipped at an
-	// unsafe site). Both stay zero with Fork.Enabled off.
+	// unsafe site, or the queued-checkpoint bound was reached). Both
+	// stay zero with Fork.Enabled off.
 	Forked       int
 	ForkRestarts int
 	Findings     []Finding
@@ -143,7 +144,8 @@ type Report struct {
 	// Explore.TrackCoverage or the Coverage strategy is active).
 	Covered map[uint32]struct{}
 	// Workers is the resolved pool size; PerWorker holds the per-worker
-	// breakdown for parallel runs (nil for sequential runs).
+	// breakdown of concolic runs (one entry per worker, nil in the other
+	// modes).
 	Workers   int
 	PerWorker []WorkerStats
 	// Detectors lists the bug-detector kinds that were attached for the
@@ -179,21 +181,20 @@ func (r *Report) String() string {
 // ModeConcolic half of a Session).
 type engine struct {
 	Builder  *smt.Builder
-	Solver   *smt.Solver // used by sequential runs; parallel workers own solvers
 	Snapshot *iss.Core
 	Cfg      Config
 
-	// OnPath observes every executed core (Session.OnPath). Parallel
-	// runs invoke it under the run lock, so the callback never races
-	// with itself, but invocation order is scheduling-dependent.
+	// OnPath observes every executed core (Session.OnPath). Workers
+	// invoke it under the run lock, so the callback never races with
+	// itself; with more than one worker the invocation order is
+	// scheduling-dependent.
 	OnPath func(path int, core *iss.Core)
 
 	// Observability handles (Config.Obs); nil-safe when unwired.
 	obsPaths, obsSat, obsUnsat, obsUnknown *obs.Counter
 	obsPruned, obsFindings                 *obs.Counter
 	obsForks, obsForkRestarts              *obs.Counter
-	issInstr, issExecs                     *obs.Counter
-	bbHits, bbMisses, bbInval              *obs.Counter
+	issMetrics                             *iss.Metrics
 	frontierG, coverG                      *obs.Gauge
 	pathHist, forkSuffixHist               *obs.Histogram
 	tracer                                 *obs.Tracer
@@ -202,11 +203,8 @@ type engine struct {
 // newEngine creates the concolic engine around a prepared VP snapshot.
 // The snapshot is never mutated; every path runs on a clone (§3.1.1).
 func newEngine(snapshot *iss.Core, cfg Config) *engine {
-	solver := smt.NewSolver(snapshot.B)
-	solver.MaxConflictsPerQuery = cfg.Budget.MaxConflictsPerQuery
 	e := &engine{
 		Builder:  snapshot.B,
-		Solver:   solver,
 		Snapshot: snapshot,
 		Cfg:      cfg,
 	}
@@ -220,39 +218,24 @@ func newEngine(snapshot *iss.Core, cfg Config) *engine {
 		e.obsForks = m.Counter("cte.forks")
 		e.obsForkRestarts = m.Counter("cte.fork_restarts")
 		e.forkSuffixHist = m.Histogram("cte.fork_suffix_instr", obs.LatencyBoundsUS)
-		e.issInstr = m.Counter("iss.instr")
-		e.issExecs = m.Counter("iss.execs")
-		e.bbHits = m.Counter("iss.bb.hits")
-		e.bbMisses = m.Counter("iss.bb.misses")
-		e.bbInval = m.Counter("iss.bb.inval")
+		e.issMetrics = iss.NewMetrics(m)
 		e.frontierG = m.Gauge("cte.frontier")
 		e.coverG = m.Gauge("cte.cover_pcs")
 		e.pathHist = m.Histogram("cte.path_us", obs.LatencyBoundsUS)
 		e.tracer = cfg.Obs.Trace()
-		solver.SetObs(cfg.Obs)
-		if cfg.Cache.Queries != nil {
-			cfg.Cache.Queries.SetObs(cfg.Obs)
-		}
 	}
 	return e
 }
 
 // run explores until the queue is exhausted or a budget is hit,
-// honoring cancellation: the sequential loop checks ctx between paths
-// and the parallel pool checks it at claim time, so the run winds down
-// within one path execution of ctx ending and still returns a complete
-// Report of the work done.
+// honoring cancellation: workers check ctx at claim time, so the run
+// winds down within one path execution of ctx ending and still returns
+// a complete Report of the work done.
 func (e *engine) run(ctx context.Context) *Report {
 	// Freeze the snapshot's copy-on-write pages once, up front: Clone
-	// then never mutates shared state, making concurrent clones safe
-	// (and the sequential path identical).
+	// then never mutates shared state, making concurrent clones safe.
 	e.Snapshot.Freeze()
-	var rep *Report
-	if w := e.Cfg.effectiveWorkers(); w > 1 {
-		rep = e.runParallel(ctx, w)
-	} else {
-		rep = e.runSequential(ctx)
-	}
+	rep := e.runPool(ctx, e.Cfg.effectiveWorkers())
 	if e.Cfg.Cache.Queries != nil {
 		st := e.Cfg.Cache.Queries.Stats()
 		rep.Cache = &st
@@ -279,7 +262,10 @@ type pathResult struct {
 // internally-locked builder are shared; the caller merges the result
 // under its own synchronization. pathID is the claim-order index used
 // for trace events (it matches Report path indices only at Workers<=1).
-func (e *engine) executePath(in Input, solver *smt.Solver, pathID int) pathResult {
+// capture enables fork checkpointing for this path (Fork.Enabled and
+// room in the frontier's checkpoint bound); without it, every child
+// restarts from the snapshot.
+func (e *engine) executePath(in Input, solver *smt.Solver, pathID int, capture bool) pathResult {
 	core := in.Fork
 	forked := core != nil
 	if !forked {
@@ -287,13 +273,9 @@ func (e *engine) executePath(in Input, solver *smt.Solver, pathID int) pathResul
 		core.Input = in.Assignment
 		core.Bound = in.Bound
 	}
-	core.CaptureForks = e.Cfg.Fork.Enabled
+	core.CaptureForks = capture
 	core.ForkMinPrefix = e.Cfg.Fork.MinPrefix
-	core.ObsInstr = e.issInstr
-	core.ObsExecs = e.issExecs
-	core.ObsBBHits = e.bbHits
-	core.ObsBBMisses = e.bbMisses
-	core.ObsBBInval = e.bbInval
+	core.Metrics = e.issMetrics
 	if e.Cfg.Explore.Strategy == Coverage || e.Cfg.Explore.TrackCoverage {
 		core.TrackCoverage = true
 	}
@@ -338,15 +320,9 @@ func (e *engine) executePath(in Input, solver *smt.Solver, pathID int) pathResul
 		conds := make([]*smt.Expr, 0, tc.EPCLen+1)
 		conds = append(conds, core.EPC[:tc.EPCLen]...)
 		conds = append(conds, tc.Cond)
-		var sat, unknown bool
-		var model smt.Assignment
-		if e.Cfg.Cache.Queries != nil {
-			// The incumbent input satisfied the whole prefix; passing it
-			// as the hint enables independence slicing in the cache.
-			sat, model, unknown = e.Cfg.Cache.Queries.Check(solver, conds, in.Assignment)
-		} else {
-			sat, model, unknown = solver.Check(conds...)
-		}
+		// The incumbent input satisfied the whole prefix; passing it as
+		// the hint enables independence slicing in the cache.
+		sat, model, unknown := e.Cfg.Cache.Queries.Check(solver, conds, in.Assignment)
 		switch {
 		case unknown:
 			res.unknown++
@@ -404,104 +380,6 @@ func childKey(b *smt.Builder, in Input) string {
 	return fmt.Sprintf("%d|%s", in.Bound, DescribeInput(b, in.Assignment))
 }
 
-// runSequential is the deterministic single-worker engine.
-func (e *engine) runSequential(ctx context.Context) *Report {
-	start := time.Now()
-	rep := &Report{Workers: 1}
-	rng := rand.New(rand.NewSource(e.Cfg.Seed + 1))
-
-	front := newFrontier(e.Cfg.Explore.Strategy, rng)
-	globalCover := make(map[uint32]struct{})
-	seen := map[string]bool{} // dedup of (bound, assignment) pairs
-	e.seedFrontier(front, seen)
-
-	for front.len() > 0 {
-		if ctx.Err() != nil {
-			rep.Stopped = "canceled"
-			break
-		}
-		if e.Cfg.Budget.MaxPaths > 0 && rep.Paths >= e.Cfg.Budget.MaxPaths {
-			rep.Stopped = "path-budget"
-			break
-		}
-		if e.Cfg.Budget.Timeout > 0 && time.Since(start) > e.Cfg.Budget.Timeout {
-			rep.Stopped = "timeout"
-			break
-		}
-		in, ok := front.pop()
-		if !ok {
-			break
-		}
-		res := e.executePath(in, e.Solver, rep.Paths)
-		core := res.core
-		rep.Paths++
-		e.obsPaths.Inc()
-		rep.TotalInstr += res.instrs
-		if res.forked {
-			rep.Forked++
-			e.obsForks.Inc()
-		}
-		rep.ForkRestarts += res.forkRestarts
-		e.obsForkRestarts.Add(int64(res.forkRestarts))
-		if e.OnPath != nil {
-			e.OnPath(rep.Paths-1, core)
-		}
-
-		// Coverage accounting: score is the number of newly discovered
-		// PCs on this path; children inherit it.
-		var score float64
-		if core.TrackCoverage {
-			for pc := range core.Coverage {
-				if _, ok := globalCover[pc]; !ok {
-					globalCover[pc] = struct{}{}
-					score++
-				}
-			}
-			e.coverG.Set(int64(len(globalCover)))
-		}
-
-		stopOnErr := false
-		if f, prune := findingOf(core, rep.Paths-1); prune {
-			rep.Pruned++
-			e.obsPruned.Inc()
-		} else if f != nil {
-			rep.Findings = append(rep.Findings, *f)
-			e.recordFinding(f)
-			stopOnErr = e.Cfg.StopOnError
-		}
-
-		rep.SatTCs += res.sat
-		rep.UnsatTCs += res.unsat
-		rep.UnknownTCs += res.unknown
-		e.obsSat.Add(int64(res.sat))
-		e.obsUnsat.Add(int64(res.unsat))
-		e.obsUnknown.Add(int64(res.unknown))
-		for _, ch := range res.children {
-			key := childKey(e.Builder, ch)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			ch.Score = score
-			front.push(ch)
-		}
-		e.frontierG.Set(int64(front.len()))
-		if stopOnErr {
-			rep.Stopped = "stop-on-error"
-			break
-		}
-	}
-	rep.Exhausted = rep.Stopped == "" && front.len() == 0
-	if rep.Stopped == "" && rep.Exhausted {
-		rep.Stopped = "exhausted"
-	}
-	rep.Covered = globalCover
-	rep.WallTime = time.Since(start)
-	e.fillSolverStats(rep)
-	e.exportFrontier(front, rep)
-	return rep
-}
-
 // seedFrontier fills a fresh frontier from Explore.Roots (dedup-seeded
 // so a later child identical to a root is dropped), or with the default
 // empty-assignment root when no explicit roots were configured.
@@ -543,11 +421,6 @@ func (e *engine) recordFinding(f *Finding) {
 		e.tracer.Emit(obs.Event{Ev: obs.EvFinding, Path: f.Path,
 			PC: f.Err.PC, Err: f.Err.Error()})
 	}
-}
-
-func (e *engine) fillSolverStats(rep *Report) {
-	rep.Queries = e.Solver.Stats.Queries
-	rep.SolverTime = e.Solver.Stats.SolverTime
 }
 
 // DescribeInput renders an input assignment with variable names, sorted,

@@ -66,11 +66,29 @@ func TestWireInputRoundTrip(t *testing.T) {
 // inputs execute and their children land unexplored in Report.Frontier.
 // Driving the exported frontier to exhaustion in a *fresh* process
 // (builder + snapshot) reaches the same semantic path set as one
-// uninterrupted exploration.
+// uninterrupted exploration. With a worker pool, paths still in flight
+// when the path budget halts the run must export their children too.
 func TestRootsBatchExecution(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		src     string
+		batch   int // leased inputs per simulated process
+		workers int
+	}{
+		{"counter/w1", counterSrc, 3, 1},
+		{"counter/w4", counterSrc, 3, 4},
+		{"bitstorm/w4", bitstormSrc, 14, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checkRootsBatchExecution(t, tc.src, tc.batch, tc.workers)
+		})
+	}
+}
+
+func checkRootsBatchExecution(t *testing.T, src string, batchSize, workers int) {
 	// Uninterrupted baseline.
 	var want []string
-	base := NewSession(snapshot(t, counterSrc), Config{Budget: Budget{MaxPaths: 100}})
+	base := NewSession(snapshot(t, src), Config{Budget: Budget{MaxPaths: 1000}})
 	base.OnPath = func(_ int, c *iss.Core) { want = append(want, semanticRecord(c)) }
 	baseRep := base.Run(context.Background())
 	if !baseRep.Exhausted {
@@ -78,7 +96,7 @@ func TestRootsBatchExecution(t *testing.T) {
 	}
 
 	// Batched exploration: carry the frontier across simulated process
-	// boundaries in wire form, executing at most 3 inputs per lease.
+	// boundaries in wire form, executing at most batchSize inputs per lease.
 	root := WireInput{} // empty assignment, bound 0
 	pending := []WireInput{root}
 	seen := map[string]bool{root.Key(): true} // every key ever enqueued
@@ -88,17 +106,17 @@ func TestRootsBatchExecution(t *testing.T) {
 			t.Fatal("no convergence")
 		}
 		batch := pending
-		if len(batch) > 3 {
-			batch = batch[:3]
+		if len(batch) > batchSize {
+			batch = batch[:batchSize]
 		}
 		pending = pending[len(batch):]
 
-		snap := snapshot(t, counterSrc) // fresh process state
+		snap := snapshot(t, src) // fresh process state
 		roots := make([]Input, len(batch))
 		for i, wi := range batch {
 			roots[i] = ImportInput(snap.B, wi)
 		}
-		eng := NewSession(snap, Config{Budget: Budget{MaxPaths: len(roots)},
+		eng := NewSession(snap, Config{Workers: workers, Budget: Budget{MaxPaths: len(roots)},
 			Explore: ExploreConfig{Roots: roots, ExportFrontier: true}})
 		eng.OnPath = func(_ int, c *iss.Core) { got = append(got, semanticRecord(c)) }
 		rep := eng.Run(context.Background())

@@ -126,6 +126,31 @@ func TestForkMinPrefixParity(t *testing.T) {
 	}
 }
 
+// TestForkQueueBound: children enqueued while the frontier already holds
+// maxQueuedForks checkpoints drop theirs and restart from the snapshot —
+// fallbacks in the report, the same ordered paths as restart-only
+// exploration.
+func TestForkQueueBound(t *testing.T) {
+	defer func(n int) { maxQueuedForks = n }(maxQueuedForks)
+	maxQueuedForks = 4
+	cfg := Config{Budget: Budget{MaxPaths: 100}}
+	restRecs, _ := describePaths(t, counterSrc, cfg)
+	cfg.Fork.Enabled = true
+	forkRecs, forkRep := describePaths(t, counterSrc, cfg)
+	if forkRep.Forked == 0 || forkRep.ForkRestarts == 0 {
+		t.Errorf("bounded fork queue: forked=%d restarts=%d, want both > 0",
+			forkRep.Forked, forkRep.ForkRestarts)
+	}
+	if len(forkRecs) != len(restRecs) {
+		t.Fatalf("path counts: %d vs %d", len(forkRecs), len(restRecs))
+	}
+	for i := range forkRecs {
+		if forkRecs[i] != restRecs[i] {
+			t.Errorf("path %d diverges under the fork bound:\n %s\n %s", i, forkRecs[i], restRecs[i])
+		}
+	}
+}
+
 // TestForkFallbackOnExecHook: an installed ExecHook makes checkpoints
 // unsound (external per-instruction state can't be cloned), so capture
 // is skipped and every child falls back to a snapshot restart — with

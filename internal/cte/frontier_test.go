@@ -75,8 +75,7 @@ func TestFrontierBFSOrderAndCompaction(t *testing.T) {
 // panic: pop on an empty frontier used to crash for Random
 // (rand.Intn(0)) and Coverage (heap underflow). Every strategy must
 // report emptiness through the (Input, bool) contract instead — drained
-// frontiers are routine in both the sequential loop and parallel worker
-// claim races.
+// frontiers are routine in the worker pool's claim loop.
 func TestFrontierEmptyPop(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, tc := range []struct {

@@ -2,7 +2,6 @@ package cte
 
 import (
 	"context"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -30,20 +29,14 @@ type hybrid struct {
 
 	// Observability handles (Config.Obs); nil-safe when unwired.
 	obsEsc, obsFlips, obsSolves, obsReplayed *obs.Counter
-	issInstr                                 *obs.Counter
-	bbHits, bbMisses, bbInval                *obs.Counter
+	replayMetrics                            *iss.Metrics
 	tracer                                   *obs.Tracer
 }
 
 // runHybrid executes a hybrid fuzzing campaign over the snapshot and
 // reports in the unified Report shape (Fuzz section filled).
 func runHybrid(ctx context.Context, snapshot *iss.Core, cfg Config) *Report {
-	if cfg.Workers < 0 {
-		cfg.Workers = runtime.NumCPU()
-	}
-	if cfg.Workers == 0 {
-		cfg.Workers = 1
-	}
+	cfg.Workers = cfg.effectiveWorkers()
 	if cfg.Fuzz.Batch <= 0 {
 		cfg.Fuzz.Batch = 500
 	}
@@ -75,14 +68,11 @@ func runHybrid(ctx context.Context, snapshot *iss.Core, cfg Config) *Report {
 		h.obsFlips = m.Counter("hybrid.flips_attempted")
 		h.obsSolves = m.Counter("hybrid.solves")
 		h.obsReplayed = m.Counter("hybrid.replayed_instr")
-		h.issInstr = m.Counter("iss.instr")
-		h.bbHits = m.Counter("iss.bb.hits")
-		h.bbMisses = m.Counter("iss.bb.misses")
-		h.bbInval = m.Counter("iss.bb.inval")
+		// Replays charge iss.instr (total simulated work) but not
+		// iss.execs, which counts fuzz executions only.
+		h.replayMetrics = iss.NewMetrics(m)
+		h.replayMetrics.Execs = nil
 		h.tracer = cfg.Obs.Trace()
-		if cfg.Cache.Queries != nil {
-			cfg.Cache.Queries.SetObs(cfg.Obs)
-		}
 	}
 	h.fz = fuzz.New(working, fuzz.Options{
 		Seed:           cfg.Seed,
@@ -200,12 +190,7 @@ func (h *hybrid) escalate(ctx context.Context, data []byte, bound int) int {
 	}
 	c.FuzzInput = data // replay mode: stream supplies bytes, vars are minted
 	c.Bound = bound
-	// Replays charge iss.instr (total simulated work) but not iss.execs,
-	// which counts fuzz executions only.
-	c.ObsInstr = h.issInstr
-	c.ObsBBHits = h.bbHits
-	c.ObsBBMisses = h.bbMisses
-	c.ObsBBInval = h.bbInval
+	c.Metrics = h.replayMetrics
 	startInstr := c.InstrCount
 	c.Run(h.cfg.Budget.MaxInstrPerRun)
 	h.fs.ReplayedInstrs += c.InstrCount - startInstr
@@ -321,16 +306,10 @@ func (h *hybrid) escalate(ctx context.Context, data []byte, bound int) int {
 				i := next
 				next++
 				mu.Unlock()
-				var ok, unk bool
-				var model smt.Assignment
-				if h.cfg.Cache.Queries != nil {
-					// The incumbent replay satisfied the whole prefix:
-					// its assignment is the slicing hint (same contract
-					// as the pure-concolic engine).
-					ok, model, unk = h.cfg.Cache.Queries.Check(solver, jobs[i].conds, c.Input)
-				} else {
-					ok, model, unk = solver.Check(jobs[i].conds...)
-				}
+				// The incumbent replay satisfied the whole prefix: its
+				// assignment is the slicing hint (same contract as the
+				// pure-concolic engine).
+				ok, model, unk := h.cfg.Cache.Queries.Check(solver, jobs[i].conds, c.Input)
 				mu.Lock()
 				switch {
 				case unk:

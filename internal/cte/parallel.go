@@ -9,9 +9,10 @@ import (
 	"rvcte/internal/smt"
 )
 
-// parallelRun is the shared state of one multi-worker exploration. The
-// mutex guards the frontier, the dedup set, the coverage map and the
-// report; everything path-local (core clone, solver, blasted CNF) is
+// parallelRun is the shared state of one exploration — the engine's only
+// clone → execute → solve → schedule loop, at any pool size. The mutex
+// guards the frontier, the dedup set, the coverage map and the report;
+// everything path-local (core clone, solver, blasted CNF) is
 // worker-owned and needs no locking. The condition variable wakes idle
 // workers when children are enqueued or the run stops.
 type parallelRun struct {
@@ -28,27 +29,41 @@ type parallelRun struct {
 	inflight int // claimed but not yet merged
 	deadline time.Time
 	stop     bool // no further paths may be claimed
-	abandon  bool // stopped with work left (timeout / StopOnError finding)
+	errStop  bool // a StopOnError finding skipped its path's solving
+	forks    int  // queued inputs holding a fork checkpoint
 }
 
+// maxQueuedForks bounds the fork checkpoints held by queued inputs. A
+// checkpoint is a whole VP clone with its model applied (hundreds of KB
+// on a stateful guest), and a coverage-scheduled frontier can grow to
+// tens of thousands of inputs, so unbounded checkpoints exhaust memory
+// long before the path budget. While the frontier holds that many, a
+// claimed path runs without checkpoint capture, and children enqueued
+// beyond the bound drop their checkpoint; either way they restart from
+// the snapshot, which executes the same path (fork/restart parity) at
+// the cost of re-running the prefix. A variable only so tests can
+// exercise the bound on small guests.
+var maxQueuedForks = 1024
+
 // halt marks the run stopped with the given reason (the first reason
-// wins). Called with x.mu held.
-func (x *parallelRun) halt(reason string, abandon bool) {
+// wins). It only gates new claims: paths already in flight still merge
+// their children, so the exported frontier stays complete. Called with
+// x.mu held.
+func (x *parallelRun) halt(reason string) {
 	x.stop = true
-	if abandon {
-		x.abandon = true
-	}
 	if x.rep.Stopped == "" {
 		x.rep.Stopped = reason
 	}
 }
 
-// runParallel explores with a pool of workers. Each worker clones the
+// runPool explores with a pool of workers. Each worker clones the
 // frozen snapshot, executes one path on its own core and solves the
 // trace conditions on its own solver; results are merged under the run
-// lock. Path order depends on scheduling; the explored path set, dedup
-// and findings do not (paths are independent by construction, §3.1.1).
-func (e *engine) runParallel(ctx context.Context, workers int) *Report {
+// lock. A pool of one claims and merges strictly in turn, so its path
+// order is deterministic; with more workers the order depends on
+// scheduling, but the explored path set, dedup and findings do not
+// (paths are independent by construction, §3.1.1).
+func (e *engine) runPool(ctx context.Context, workers int) *Report {
 	start := time.Now()
 	x := &parallelRun{
 		e:     e,
@@ -68,7 +83,7 @@ func (e *engine) runParallel(ctx context.Context, workers int) *Report {
 		// wakes workers blocked waiting for new queue entries.
 		timer = time.AfterFunc(e.Cfg.Budget.Timeout, func() {
 			x.mu.Lock()
-			x.halt("timeout", true)
+			x.halt("timeout")
 			x.mu.Unlock()
 			x.cond.Broadcast()
 		})
@@ -81,7 +96,7 @@ func (e *engine) runParallel(ctx context.Context, workers int) *Report {
 			select {
 			case <-ctx.Done():
 				x.mu.Lock()
-				x.halt("canceled", true)
+				x.halt("canceled")
 				x.mu.Unlock()
 				x.cond.Broadcast()
 			case <-runDone:
@@ -104,16 +119,15 @@ func (e *engine) runParallel(ctx context.Context, workers int) *Report {
 	}
 
 	// Timer/cancellation callbacks may still be mid-halt() after Stop()
-	// returns, so the finalization reads stay under the run lock.
+	// returns, so the finalization reads stay under the run lock. A
+	// drained queue with every claimed path merged is a complete
+	// exploration even when a timer or cancellation fired while the last
+	// path ran — unless a stop-on-error finding skipped its solving.
 	x.mu.Lock()
 	rep := x.rep
-	rep.Exhausted = !x.abandon && x.front.len() == 0
-	if rep.Stopped == "" {
-		if rep.Exhausted {
-			rep.Stopped = "exhausted"
-		} else if x.e.Cfg.Budget.MaxPaths > 0 && x.started >= x.e.Cfg.Budget.MaxPaths {
-			rep.Stopped = "path-budget"
-		}
+	rep.Exhausted = !x.errStop && x.front.len() == 0
+	if rep.Exhausted {
+		rep.Stopped = "exhausted"
 	}
 	e.exportFrontier(x.front, rep)
 	x.mu.Unlock()
@@ -145,38 +159,22 @@ func (x *parallelRun) worker(id int) {
 			x.finish(id, solver, paths)
 			return
 		}
-		// Claim-time ctx check: the watcher goroutine wakes blocked
-		// workers, but a busy pool can drain a small queue before the
-		// watcher is ever scheduled — polling here makes cancellation
-		// take effect within one path execution regardless.
-		if x.ctx.Err() != nil {
-			x.halt("canceled", true)
+		if reason := x.claimStop(); reason != "" {
+			x.halt(reason)
 			x.finish(id, solver, paths)
 			return
 		}
-		if x.e.Cfg.Budget.MaxPaths > 0 && x.started >= x.e.Cfg.Budget.MaxPaths {
-			x.halt("path-budget", false)
-			x.finish(id, solver, paths)
-			return
-		}
-		if !x.deadline.IsZero() && !time.Now().Before(x.deadline) {
-			x.halt("timeout", true)
-			x.finish(id, solver, paths)
-			return
-		}
-		in, ok := x.front.pop()
-		if !ok {
-			// Raced with another claimer between the wait and here; the
-			// guarded pop turns that into a clean retry instead of a panic.
-			x.mu.Unlock()
-			continue
+		in, _ := x.front.pop() // non-empty: checked under this lock hold
+		if in.Fork != nil {
+			x.forks--
 		}
 		pathID := x.started
+		capture := x.e.Cfg.Fork.Enabled && x.forks < maxQueuedForks
 		x.started++
 		x.inflight++
 		x.mu.Unlock()
 
-		res := x.e.executePath(in, solver, pathID)
+		res := x.e.executePath(in, solver, pathID, capture)
 		paths++
 
 		x.mu.Lock()
@@ -185,6 +183,23 @@ func (x *parallelRun) worker(id int) {
 		x.mu.Unlock()
 		x.cond.Broadcast()
 	}
+}
+
+// claimStop is the claim-time budget check: the reason the next claim
+// must not happen, or "" to proceed. Polling ctx here (not only in the
+// watcher goroutine) matters: a busy pool can drain a small queue before
+// the watcher is ever scheduled, and this makes cancellation take effect
+// within one path execution regardless. Called with x.mu held.
+func (x *parallelRun) claimStop() string {
+	switch {
+	case x.ctx.Err() != nil:
+		return "canceled"
+	case x.e.Cfg.Budget.MaxPaths > 0 && x.started >= x.e.Cfg.Budget.MaxPaths:
+		return "path-budget"
+	case !x.deadline.IsZero() && !time.Now().Before(x.deadline):
+		return "timeout"
+	}
+	return ""
 }
 
 // finish records the worker's solver statistics and wakes any blocked
@@ -200,7 +215,9 @@ func (x *parallelRun) finish(id int, solver *smt.Solver, paths int) {
 }
 
 // merge folds one executed path into the shared report and enqueues its
-// deduplicated children. Called with x.mu held.
+// deduplicated children — also after a halt, so a stopped run's exported
+// frontier still holds every in-flight path's children. Called with x.mu
+// held.
 func (x *parallelRun) merge(res pathResult) {
 	e := x.e
 	rep := x.rep
@@ -216,7 +233,8 @@ func (x *parallelRun) merge(res pathResult) {
 	rep.ForkRestarts += res.forkRestarts
 	e.obsForkRestarts.Add(int64(res.forkRestarts))
 	if e.OnPath != nil {
-		// Serialized under the run lock; order is scheduling-dependent.
+		// Serialized under the run lock; with more than one worker the
+		// order is scheduling-dependent.
 		e.OnPath(path, core)
 	}
 
@@ -241,7 +259,8 @@ func (x *parallelRun) merge(res pathResult) {
 			// In-flight siblings still merge their results, so the
 			// report may carry more than one finding; no new paths are
 			// claimed after this point.
-			x.halt("stop-on-error", true)
+			x.errStop = true
+			x.halt("stop-on-error")
 		}
 	}
 
@@ -251,9 +270,6 @@ func (x *parallelRun) merge(res pathResult) {
 	e.obsSat.Add(int64(res.sat))
 	e.obsUnsat.Add(int64(res.unsat))
 	e.obsUnknown.Add(int64(res.unknown))
-	if x.stop {
-		return
-	}
 	for _, ch := range res.children {
 		key := childKey(e.Builder, ch)
 		if x.seen[key] {
@@ -261,6 +277,15 @@ func (x *parallelRun) merge(res pathResult) {
 		}
 		x.seen[key] = true
 		ch.Score = score
+		if ch.Fork != nil {
+			if x.forks >= maxQueuedForks {
+				ch.Fork = nil
+				rep.ForkRestarts++
+				e.obsForkRestarts.Inc()
+			} else {
+				x.forks++
+			}
+		}
 		x.front.push(ch)
 	}
 	e.frontierG.Set(int64(x.front.len()))

@@ -23,7 +23,7 @@ func runExits(t *testing.T, src string, cfg Config) (*Report, []uint32) {
 
 // TestParallelMatchesSequential: the explored path set is a property of
 // the program, the dedup and the generational bounds — not of worker
-// scheduling. Workers=4 must find exactly the sequential engine's paths
+// scheduling. Workers=4 must find exactly the one-worker pool's paths
 // (modulo order) and the same aggregate statistics.
 func TestParallelMatchesSequential(t *testing.T) {
 	seqRep, seqExits := runExits(t, counterSrc, Config{Workers: 1, Budget: Budget{MaxPaths: 100}})
@@ -48,6 +48,10 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 	if parRep.Workers != 4 || len(parRep.PerWorker) != 4 {
 		t.Errorf("parallel report worker stats missing: %+v", parRep)
+	}
+	if seqRep.Workers != 1 || len(seqRep.PerWorker) != 1 || seqRep.PerWorker[0].Queries != seqRep.Queries {
+		t.Errorf("one-worker report stats: workers=%d per-worker=%+v queries=%d",
+			seqRep.Workers, seqRep.PerWorker, seqRep.Queries)
 	}
 	var perWorkerQueries int
 	for _, ws := range parRep.PerWorker {
@@ -94,7 +98,7 @@ func TestParallelMaxPaths(t *testing.T) {
 }
 
 // TestParallelTimeout: an already-expired deadline stops the run before
-// the first claim, like the sequential engine.
+// the first claim, as with one worker.
 func TestParallelTimeout(t *testing.T) {
 	eng := NewSession(snapshot(t, counterSrc), Config{Workers: 4, Budget: Budget{Timeout: time.Nanosecond}})
 	rep := eng.Run(context.Background())
@@ -156,7 +160,7 @@ func TestConcurrentSnapshotClone(t *testing.T) {
 
 func TestWorkerResolution(t *testing.T) {
 	if got := (Config{}).effectiveWorkers(); got != 1 {
-		t.Errorf("zero value: %d want 1 (sequential)", got)
+		t.Errorf("zero value: %d want 1 (one-worker pool)", got)
 	}
 	if got := (Config{Workers: 3}).effectiveWorkers(); got != 3 {
 		t.Errorf("explicit: %d want 3", got)

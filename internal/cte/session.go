@@ -139,7 +139,8 @@ type Config struct {
 	Mode Mode
 	// Workers sizes the worker pool: exploration workers in concolic
 	// mode, fuzz executors plus flip-solve workers in hybrid mode. 0 or
-	// 1 is sequential and deterministic; AutoWorkers picks NumCPU.
+	// 1 is a pool of one worker, deterministic for a fixed seed;
+	// AutoWorkers picks NumCPU.
 	Workers int
 	Budget  Budget
 	// Obs, when non-nil, wires the whole run — engines, solvers, cache,

@@ -222,7 +222,7 @@ func TestSessionTraceEvents(t *testing.T) {
 }
 
 // TestSessionCancelSequential: an already-canceled context stops the
-// sequential engine before the first path.
+// one-worker pool before the first path.
 func TestSessionCancelSequential(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -232,6 +232,35 @@ func TestSessionCancelSequential(t *testing.T) {
 	}
 	if rep.Paths != 0 || rep.Exhausted {
 		t.Errorf("canceled run still explored: %v", rep)
+	}
+}
+
+// TestSessionCancelKeepsChildren: a cancel that lands while a path runs
+// stops further claims, but that path still merges its children, so the
+// exported frontier holds them (campaign workers hand it back).
+func TestSessionCancelKeepsChildren(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		sess := NewSession(snapshot(t, bitstormSrc), Config{Workers: workers,
+			Explore: ExploreConfig{ExportFrontier: true}})
+		sess.OnPath = func(path int, _ *iss.Core) {
+			if path == 0 {
+				cancel()
+			}
+		}
+		rep := sess.Run(ctx)
+		if rep.Stopped != "canceled" || rep.Exhausted {
+			t.Errorf("workers=%d: stopped=%q exhausted=%v", workers, rep.Stopped, rep.Exhausted)
+		}
+		// Every path of bitstorm flips the bits at or above its bound;
+		// the frontier must hold every SAT child of the merged paths.
+		if got := len(rep.Frontier); got != rep.SatTCs {
+			t.Errorf("workers=%d: frontier has %d inputs, %d SAT children were solved (paths %d)",
+				workers, got, rep.SatTCs, rep.Paths)
+		}
+		if workers == 1 && (rep.Paths != 1 || rep.SatTCs != 8) {
+			t.Errorf("workers=1: paths=%d sat=%d want 1/8", rep.Paths, rep.SatTCs)
+		}
 	}
 }
 

@@ -118,8 +118,7 @@ type Fuzzer struct {
 	// mutex-guarded stats stay the source of truth, these feed the live
 	// registry.
 	obsExecs, obsPruned, obsFindings, obsInjected *obs.Counter
-	issInstr, issExecs                            *obs.Counter
-	bbHits, bbMisses, bbInval                     *obs.Counter
+	issMetrics                                    *iss.Metrics
 	obsCorpus, obsEdges                           *obs.Gauge
 	edgeEntries                                   int // nonzero virgin entries (mirrors Stats.Edges)
 }
@@ -164,11 +163,7 @@ func New(snap *iss.Core, opt Options) *Fuzzer {
 		f.obsPruned = m.Counter("fuzz.pruned")
 		f.obsFindings = m.Counter("fuzz.findings")
 		f.obsInjected = m.Counter("fuzz.injected")
-		f.issInstr = m.Counter("iss.instr")
-		f.issExecs = m.Counter("iss.execs")
-		f.bbHits = m.Counter("iss.bb.hits")
-		f.bbMisses = m.Counter("iss.bb.misses")
-		f.bbInval = m.Counter("iss.bb.inval")
+		f.issMetrics = iss.NewMetrics(m)
 		f.obsCorpus = m.Gauge("fuzz.corpus")
 		f.obsEdges = m.Gauge("fuzz.edges")
 	}
@@ -177,23 +172,14 @@ func New(snap *iss.Core, opt Options) *Fuzzer {
 
 // RunBatch executes n fuzz iterations across the configured workers and
 // returns when all have finished. At Workers=1 the schedule is fully
-// deterministic for a fixed seed.
+// deterministic for a fixed seed: the one worker runs every iteration in
+// turn on its own PRNG.
 func (f *Fuzzer) RunBatch(n int) { f.RunBatchContext(context.Background(), n) }
 
 // RunBatchContext is RunBatch honoring cancellation: workers check the
 // context between executions, so the batch returns at most one
-// execution per worker after ctx is done. The schedule at Workers=1 is
-// unchanged for an uncancelled context.
+// execution per worker after ctx is done.
 func (f *Fuzzer) RunBatchContext(ctx context.Context, n int) {
-	if f.opt.Workers == 1 {
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				return
-			}
-			f.step(f.ws[0])
-		}
-		return
-	}
 	remaining := int64(n)
 	var wg sync.WaitGroup
 	for _, ws := range f.ws {
@@ -218,11 +204,7 @@ func (f *Fuzzer) step(ws *workerState) {
 	c := f.snap.Clone()
 	c.ConcreteOnly = true
 	c.FuzzInput = data
-	c.ObsInstr = f.issInstr
-	c.ObsExecs = f.issExecs
-	c.ObsBBHits = f.bbHits
-	c.ObsBBMisses = f.bbMisses
-	c.ObsBBInval = f.bbInval
+	c.Metrics = f.issMetrics
 	clear(ws.edge)
 	c.EdgeMap = ws.edge
 	// The snapshot may carry pre-executed initialization (skip-init

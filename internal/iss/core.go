@@ -34,7 +34,6 @@ import (
 	"fmt"
 
 	"rvcte/internal/concolic"
-	"rvcte/internal/obs"
 	"rvcte/internal/rv32"
 	"rvcte/internal/smt"
 )
@@ -341,21 +340,10 @@ type Core struct {
 
 	Output []byte // console output from the guest
 
-	// ObsInstr/ObsExecs, when non-nil, are observability sinks
-	// (internal/obs): every Run call adds the instructions it retired to
-	// ObsInstr and one completed execution to ObsExecs when it returns.
-	// Counting happens once per run, not per instruction, so the
-	// simulation loop stays unobserved. Clones inherit the pointers, so
-	// one counter pair aggregates across every core of a campaign (the
-	// counters are atomic).
-	ObsInstr *obs.Counter
-	ObsExecs *obs.Counter
-	// ObsBBHits/ObsBBMisses/ObsBBInval aggregate the block-cache hit,
-	// miss and invalidation counts ("iss.bb.*"), flushed once per Run
-	// like ObsInstr.
-	ObsBBHits   *obs.Counter
-	ObsBBMisses *obs.Counter
-	ObsBBInval  *obs.Counter
+	// Metrics, when non-nil, is the observability sink bundle every Run
+	// call flushes into when it returns (see Metrics). Clones inherit the
+	// pointer, so one bundle aggregates across every core of a campaign.
+	Metrics *Metrics
 
 	// NoBlockCache disables the predecoded basic-block cache: Run then
 	// drives the legacy fetch/decode/execute Step loop. Used by the
@@ -604,20 +592,19 @@ func (c *Core) Run(maxInstr uint64) {
 	if maxInstr == 0 {
 		maxInstr = c.Cfg.MaxInstr
 	}
-	if c.ObsInstr != nil || c.ObsExecs != nil || c.ObsBBHits != nil ||
-		c.ObsBBMisses != nil || c.ObsBBInval != nil {
+	if m := c.Metrics; m != nil {
 		start := c.InstrCount
 		var h0, m0, i0 uint64
 		if c.bb != nil {
 			h0, m0, i0 = c.bb.hits, c.bb.misses, c.bb.invals
 		}
 		defer func() {
-			c.ObsInstr.Add(int64(c.InstrCount - start))
-			c.ObsExecs.Inc()
+			m.Instr.Add(int64(c.InstrCount - start))
+			m.Execs.Inc()
 			if c.bb != nil {
-				c.ObsBBHits.Add(int64(c.bb.hits - h0))
-				c.ObsBBMisses.Add(int64(c.bb.misses - m0))
-				c.ObsBBInval.Add(int64(c.bb.invals - i0))
+				m.BBHits.Add(int64(c.bb.hits - h0))
+				m.BBMisses.Add(int64(c.bb.misses - m0))
+				m.BBInval.Add(int64(c.bb.invals - i0))
 			}
 		}()
 	}

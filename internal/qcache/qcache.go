@@ -234,8 +234,13 @@ func ValidateModel(conds []*smt.Expr, m smt.Assignment) bool {
 // leave unconstrained variables unassigned (they read as zero).
 //
 // Check is safe for concurrent use with distinct solvers; the solver
-// itself is only used by the calling goroutine.
+// itself is only used by the calling goroutine. A nil *Cache is the
+// cacheless configuration: Check then returns solver.Check(conds...)
+// unchanged, so callers need no cache-or-solve branch of their own.
 func (c *Cache) Check(solver *smt.Solver, conds []*smt.Expr, hint smt.Assignment) (sat bool, model smt.Assignment, unknown bool) {
+	if c == nil {
+		return solver.Check(conds...)
+	}
 	live := make([]*smt.Expr, 0, len(conds))
 	for _, e := range conds {
 		if e.IsTrue() {

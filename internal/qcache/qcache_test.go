@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -203,6 +204,48 @@ func TestUnknownPassthroughUncached(t *testing.T) {
 	}
 	if st := c.Stats(); st.Entries != 1 {
 		t.Errorf("solved result must be cached (%+v)", st)
+	}
+}
+
+// TestNilCacheFallsThrough: a nil *Cache is the cacheless configuration —
+// its Check returns exactly what solver.Check returns (verdict, model
+// and solver statistics) for sat, unsat and budget-exhausted queries.
+func TestNilCacheFallsThrough(t *testing.T) {
+	b := smt.NewBuilder()
+	x := b.Var(8, "x")
+	y := b.Var(8, "y")
+	for _, tc := range []struct {
+		name         string
+		conds        []*smt.Expr
+		maxConflicts int
+		sat, unknown bool
+	}{
+		{"sat", []*smt.Expr{b.Ult(x, b.Const(8, 10)), b.Eq(y, b.Const(8, 3))}, 0, true, false},
+		{"unsat", []*smt.Expr{b.Ult(x, b.Const(8, 10)), b.Ugt(x, b.Const(8, 20))}, 0, false, false},
+		// The factoring query of TestUnknownPassthroughUncached: one
+		// conflict is not enough to decide it.
+		{"unknown", []*smt.Expr{b.Eq(b.Mul(b.ZExt(x, 32), b.ZExt(y, 32)), b.Const(32, 143))}, 1, false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			direct := smt.NewSolver(b)
+			direct.MaxConflictsPerQuery = tc.maxConflicts
+			wantSat, wantModel, wantUnknown := direct.Check(tc.conds...)
+			if wantSat != tc.sat || wantUnknown != tc.unknown {
+				t.Fatalf("solver.Check: sat=%v unknown=%v, want %v/%v", wantSat, wantUnknown, tc.sat, tc.unknown)
+			}
+
+			viaNil := smt.NewSolver(b)
+			viaNil.MaxConflictsPerQuery = tc.maxConflicts
+			var c *Cache
+			sat, model, unknown := c.Check(viaNil, tc.conds, nil)
+			if sat != wantSat || unknown != wantUnknown || !reflect.DeepEqual(model, wantModel) {
+				t.Errorf("nil cache: (%v, %v, %v), solver: (%v, %v, %v)",
+					sat, model, unknown, wantSat, wantModel, wantUnknown)
+			}
+			if viaNil.Stats.Queries != direct.Stats.Queries {
+				t.Errorf("nil cache ran %d solver queries, direct %d", viaNil.Stats.Queries, direct.Stats.Queries)
+			}
+		})
 	}
 }
 
